@@ -1,11 +1,11 @@
 //! Call-site extraction and workspace call-graph construction.
 //!
 //! Resolution is deliberately conservative: a method call resolves to
-//! *every* workspace function with that name (except a set of generic
-//! names like `push`/`get` that would connect unrelated types), a path
-//! call `Type::method` resolves to the matching impl when one exists,
-//! and anything unresolved is kept as an *external site* that the rules
-//! match against their pattern tables.
+//! *every* workspace function with that name and a `self` receiver
+//! (except a set of generic names like `push`/`get` that would connect
+//! unrelated types), a path call `Type::method` resolves to the matching
+//! impl when one exists, and anything unresolved is kept as an
+//! *external site* that the rules match against their pattern tables.
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::FnDef;
@@ -79,6 +79,9 @@ pub struct Site {
     pub segments: Vec<String>,
     /// Receiver text for `Method` sites (`self . shards [ h ]`).
     pub receiver: String,
+    /// Text of the first token inside a call's parentheses: `)` when
+    /// the argument list is empty, empty for macro and index sites.
+    pub first_arg: String,
     /// 1-based source line.
     pub line: u32,
     /// Token index of the site's name token (site order within the fn).
@@ -99,6 +102,7 @@ pub fn extract_sites(tokens: &[Token], def: &FnDef) -> Vec<Site> {
         .filter(|&i| tokens[i].kind != TokenKind::Comment)
         .collect();
     let tok = |k: Option<&usize>| -> Option<&Token> { k.map(|&i| &tokens[i]) };
+    let text_at = |k: usize| tok(idx.get(k)).map(|t| t.text.clone()).unwrap_or_default();
 
     let mut p = 0usize;
     while p < idx.len() {
@@ -127,6 +131,7 @@ pub fn extract_sites(tokens: &[Token], def: &FnDef) -> Vec<Site> {
                     name: "[]".to_string(),
                     segments: Vec::new(),
                     receiver: prev.map(|t| t.text.clone()).unwrap_or_default(),
+                    first_arg: String::new(),
                     line: t.line,
                     tok: i,
                 });
@@ -150,6 +155,7 @@ pub fn extract_sites(tokens: &[Token], def: &FnDef) -> Vec<Site> {
                 name: format!("{}!", t.text),
                 segments: Vec::new(),
                 receiver: String::new(),
+                first_arg: String::new(),
                 line: t.line,
                 tok: i,
             });
@@ -166,6 +172,7 @@ pub fn extract_sites(tokens: &[Token], def: &FnDef) -> Vec<Site> {
                     name: t.text.clone(),
                     segments: Vec::new(),
                     receiver: receiver_text(&idx, p, tokens),
+                    first_arg: text_at(after + 1),
                     line: t.line,
                     tok: i,
                 });
@@ -209,6 +216,7 @@ pub fn extract_sites(tokens: &[Token], def: &FnDef) -> Vec<Site> {
                 name: format!("{name}!"),
                 segments,
                 receiver: String::new(),
+                first_arg: String::new(),
                 line: t.line,
                 tok: i,
             });
@@ -225,6 +233,7 @@ pub fn extract_sites(tokens: &[Token], def: &FnDef) -> Vec<Site> {
                 name,
                 segments,
                 receiver: String::new(),
+                first_arg: text_at(after + 1),
                 line: t.line,
                 tok: i,
             });
@@ -413,12 +422,15 @@ impl CallGraph {
                 if GENERIC_METHODS.contains(&site.name.as_str()) {
                     return Vec::new();
                 }
+                // Only fns with a `self` receiver can be called with
+                // method syntax; associated fns and macros of the same
+                // name are not candidates.
                 self.by_name
                     .get(&site.name)
                     .map(|ids| {
                         ids.iter()
                             .copied()
-                            .filter(|&id| !self.fns[id].def.name.ends_with('!'))
+                            .filter(|&id| self.fns[id].def.takes_self())
                             .collect()
                     })
                     .unwrap_or_default()
@@ -547,6 +559,23 @@ mod tests {
         // `push` is generic: not resolved even though Buffer::push exists.
         let push = g.roots("Buffer::push")[0];
         assert!(!resolved.contains(&push));
+    }
+
+    #[test]
+    fn method_call_skips_fns_without_a_self_receiver() {
+        let g = graph(
+            "impl FleetTopology { pub fn row(n: usize) -> Self { FleetTopology } }\n\
+             impl Matrix { fn row(&self, i: usize) -> f64 { 0.0 } }\n\
+             fn caller(x: &Matrix, i: usize) { x.row(i); }",
+        );
+        let caller = g.roots("caller")[0];
+        let resolved: Vec<usize> = g.fns[caller]
+            .edges
+            .iter()
+            .flat_map(|(_, ids)| ids.clone())
+            .collect();
+        assert_eq!(resolved, g.roots("Matrix::row"));
+        assert!(!resolved.contains(&g.roots("FleetTopology::row")[0]));
     }
 
     #[test]

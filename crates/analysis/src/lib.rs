@@ -216,7 +216,9 @@ impl Workspace {
     }
 
     /// `lint:allow(<rule>)` on the finding line or the line above.
-    fn site_allowed(&self, file: usize, line: u32, rule: &str) -> bool {
+    /// This is the one allow check for every rule, interprocedural or
+    /// per-file lint.
+    pub fn site_allowed(&self, file: usize, line: u32, rule: &str) -> bool {
         let needle = format!("lint:allow({rule})");
         let lines = &self.lines[file];
         let i = line as usize;

@@ -44,27 +44,106 @@ impl FnDef {
     pub fn returns_guard(&self) -> bool {
         self.signature.contains("Guard")
     }
+
+    /// True when the fn has a `self` receiver — only these can be the
+    /// target of a `.name(…)` method call.
+    pub fn takes_self(&self) -> bool {
+        self.signature.split(' ').any(|w| w == "self")
+    }
 }
 
 /// What kind of scope a `{` opened.
 #[derive(Debug, Clone)]
 enum Scope {
-    /// `impl Type { … }` — holds the self-type name and test flag.
-    Impl(String, bool),
-    /// Any other block (`mod`, fn body, expression block, …) with its
-    /// test flag.
-    Block(bool),
+    /// `impl Type { … }` — holds the self-type name.
+    Impl(String),
+    /// Any other block (`mod`, fn body, expression block, …).
+    Block,
+}
+
+/// Token ranges `[start, end)` of test-only items: each runs from a
+/// `#[cfg(test)]` or `#[test]` attribute to the closing `}` or `;` of
+/// the item it marks, so a `#[cfg(test)] use …;` covers only itself.
+pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut i = 0usize;
+    while i < tokens.len() {
+        let Some(after) = test_attribute(tokens, i) else {
+            i += 1;
+            continue;
+        };
+        let mut depth = 0i32;
+        let mut j = after;
+        while j < tokens.len() {
+            let t = &tokens[j];
+            if t.kind == TokenKind::Punct {
+                match t.text.as_str() {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    "}" => {
+                        depth -= 1;
+                        if depth <= 0 {
+                            break;
+                        }
+                    }
+                    ";" if depth == 0 => break,
+                    _ => {}
+                }
+            }
+            j += 1;
+        }
+        let end = (j + 1).min(tokens.len());
+        spans.push((i, end));
+        i = end;
+    }
+    spans
+}
+
+/// When `tokens[i]` opens a `#[test]` or `#[cfg(test)]` attribute,
+/// returns the index just past its closing `]`.
+fn test_attribute(tokens: &[Token], i: usize) -> Option<usize> {
+    if !tokens[i].is_punct('#') {
+        return None;
+    }
+    let mut open = i + 1;
+    if tokens.get(open).is_some_and(|t| t.is_punct('!')) {
+        open += 1;
+    }
+    if !tokens.get(open).is_some_and(|t| t.is_punct('[')) {
+        return None;
+    }
+    let is_test = match tokens.get(open + 1..)? {
+        [t, close, ..] if t.is_ident("test") && close.is_punct(']') => true,
+        [cfg, paren, t, ..] => cfg.is_ident("cfg") && paren.is_punct('(') && t.is_ident("test"),
+        _ => false,
+    };
+    if !is_test {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(open) {
+        if t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j + 1);
+            }
+        }
+    }
+    Some(tokens.len())
 }
 
 /// Parses the token stream of one file into its function definitions.
-/// `file` is the caller's index for this file.
+/// `file` is the caller's index for this file. A fn is a test fn when
+/// its `fn` keyword lies inside one of the file's [`test_spans`].
 pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
+    let tests = test_spans(tokens);
+    let in_test = |i: usize| tests.iter().any(|&(s, e)| s <= i && i < e);
     let mut out: Vec<FnDef> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     // Pending item context, applied when its `{` arrives.
     let mut pending: Option<Scope> = None;
-    // Attribute state for the *next* item.
-    let mut next_is_test = false;
     // Open fn definitions waiting for their body to close:
     // (out-index, brace-depth-at-open).
     let mut open_fns: Vec<(usize, usize)> = Vec::new();
@@ -84,48 +163,7 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
     while i < tokens.len() {
         let t = &tokens[i];
         match t.kind {
-            TokenKind::Comment => {
-                i += 1;
-                continue;
-            }
-            TokenKind::Punct if t.text == "#" => {
-                // Attribute: `#[ … ]` (or inner `#![ … ]`). Scan the
-                // bracket group and look for cfg(test) / test markers.
-                let mut j = i + 1;
-                if j < tokens.len() && tokens[j].is_punct('!') {
-                    j += 1;
-                }
-                if j < tokens.len() && tokens[j].is_punct('[') {
-                    let mut depth = 0usize;
-                    let start = j;
-                    while j < tokens.len() {
-                        if tokens[j].is_punct('[') {
-                            depth += 1;
-                        } else if tokens[j].is_punct(']') {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        j += 1;
-                    }
-                    let attr = sig_tokens(&tokens[start..=j.min(tokens.len() - 1)]);
-                    if attr.contains("cfg ( test")
-                        || attr.contains("[ test ]")
-                        || attr.contains("cfg_attr ( test")
-                    {
-                        next_is_test = true;
-                    }
-                    i = j + 1;
-                    continue;
-                }
-                i += 1;
-            }
             TokenKind::Ident => {
-                let in_test = next_is_test
-                    || scopes
-                        .iter()
-                        .any(|s| matches!(s, Scope::Impl(_, true) | Scope::Block(true)));
                 match t.text.as_str() {
                     "impl" => {
                         // Capture the self type: tokens up to the `{`
@@ -152,16 +190,8 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
                             Some(s) => &tokens[s..j],
                             None => &tokens[i + 1..j],
                         };
-                        let ty = self_type_name(ty_range);
-                        pending = Some(Scope::Impl(ty, in_test));
-                        next_is_test = false;
+                        pending = Some(Scope::Impl(self_type_name(ty_range)));
                         i = j; // land on `{` or `;`
-                        continue;
-                    }
-                    "mod" | "trait" => {
-                        pending = Some(Scope::Block(in_test));
-                        next_is_test = false;
-                        i += 1;
                         continue;
                     }
                     "fn" => {
@@ -189,32 +219,27 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
                             j += 1;
                         }
                         let impl_type = scopes.iter().rev().find_map(|s| match s {
-                            Scope::Impl(ty, _) => Some(ty.clone()),
-                            Scope::Block(_) => None,
+                            Scope::Impl(ty) => Some(ty.clone()),
+                            Scope::Block => None,
                         });
-                        let def = FnDef {
+                        out.push(FnDef {
                             name,
                             impl_type,
                             file,
                             line: t.line,
                             body: (j, j), // patched when the body closes
                             nested: Vec::new(),
-                            is_test: in_test,
+                            is_test: in_test(i),
                             signature: sig_tokens(&tokens[i..j.min(tokens.len())]),
-                        };
-                        next_is_test = false;
+                        });
                         if j < tokens.len() && tokens[j].is_punct('{') {
-                            out.push(def);
                             open_fns.push((out.len() - 1, scopes.len()));
                             // The `{` at j is consumed as this fn's body
                             // opener.
-                            scopes.push(Scope::Block(in_test));
-                            i = j + 1;
-                            continue;
+                            scopes.push(Scope::Block);
                         }
-                        // Bodyless declaration: keep it (trait methods
-                        // resolve to their impls anyway), empty body.
-                        out.push(def);
+                        // A bodyless declaration keeps an empty body
+                        // (trait methods resolve to their impls anyway).
                         i = j + 1;
                         continue;
                     }
@@ -234,36 +259,22 @@ pub fn parse_fns(tokens: &[Token], file: usize) -> Vec<FnDef> {
                                     line: t.line,
                                     body: (j, j),
                                     nested: Vec::new(),
-                                    is_test: in_test,
+                                    is_test: in_test(i),
                                     signature: String::new(),
                                 });
                                 open_fns.push((out.len() - 1, scopes.len()));
-                                scopes.push(Scope::Block(in_test));
-                                next_is_test = false;
+                                scopes.push(Scope::Block);
                                 i = j + 1;
                                 continue;
                             }
                         }
                         i += 1;
-                        continue;
                     }
-                    _ => {
-                        i += 1;
-                        continue;
-                    }
+                    _ => i += 1,
                 }
             }
             TokenKind::Punct if t.text == "{" => {
-                let scope = pending.take().unwrap_or_else(|| {
-                    Scope::Block(
-                        next_is_test
-                            || scopes
-                                .iter()
-                                .any(|s| matches!(s, Scope::Impl(_, true) | Scope::Block(true))),
-                    )
-                });
-                next_is_test = false;
-                scopes.push(scope);
+                scopes.push(pending.take().unwrap_or(Scope::Block));
                 i += 1;
             }
             TokenKind::Punct if t.text == "}" => {
@@ -364,6 +375,23 @@ mod tests {
         let defs = parse("#[test]\nfn case() {}\nfn live() {}");
         assert!(defs[0].is_test);
         assert!(!defs[1].is_test);
+    }
+
+    #[test]
+    fn cfg_test_on_a_use_item_covers_only_that_item() {
+        let defs = parse("#[cfg(test)]\nuse std::collections::HashMap;\nfn live() {}");
+        assert!(!defs[0].is_test);
+        let tokens =
+            lex("fn a() {}\n#[cfg(test)] // { stray brace\nmod t { fn b() {} }\nfn c() {}");
+        let spans = test_spans(&tokens);
+        assert_eq!(spans.len(), 1);
+        let covered: Vec<&str> = tokens[spans[0].0..spans[0].1]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(covered.first(), Some(&"#"));
+        assert_eq!(covered.last(), Some(&"}"));
+        assert!(!covered.contains(&"c"));
     }
 
     #[test]

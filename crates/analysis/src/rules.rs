@@ -126,37 +126,46 @@ pub fn alloc_site(site: &Site) -> Option<String> {
     }
 }
 
-/// Returns a description if `site` can block (filesystem, sync flush,
-/// sleeps, unbounded channel receives, joins).
+/// Returns a description if `site` can block the calling thread:
+/// exact or buffered reads and writes that loop until done, syncs and
+/// flushes, unbounded receives and waits, thread joins, sleeps,
+/// filesystem calls, and switching a socket back to blocking mode.
+/// Bounded waits (`recv_timeout`, `wait_timeout`) are not flagged, and
+/// `.join()` counts only with no arguments (`parts.join(",")` is a
+/// slice join).
 pub fn blocking_site(site: &Site) -> Option<String> {
+    let m = site.name.as_str();
     match site.kind {
-        SiteKind::Method => match site.name.as_str() {
-            "sync_all" | "sync_data" | "flush" | "sync" => {
-                Some(format!(".{}() synchronous I/O", site.name))
+        SiteKind::Method => match m {
+            "read_exact" | "read_to_end" | "read_to_string" | "read_line" | "write_all"
+            | "sync_all" | "sync_data" | "flush" | "sync" => {
+                Some(format!(".{m}() synchronous I/O"))
             }
             "recv" => Some(".recv() unbounded blocking receive".to_string()),
-            "wait" | "join" => Some(format!(".{}() blocks the caller", site.name)),
+            "wait" => Some(".wait() blocks the caller".to_string()),
+            "join" if site.first_arg == ")" => Some(".join() blocks the caller".to_string()),
+            "set_nonblocking" if site.first_arg == "false" => {
+                Some(".set_nonblocking(false) makes the socket blocking".to_string())
+            }
             "open" | "create" if site.receiver.contains("OpenOptions") => {
-                Some(format!(".{}() filesystem call", site.name))
+                Some(format!(".{m}() filesystem call"))
             }
             _ => None,
         },
         SiteKind::Path => {
             if site.segments.iter().any(|s| s == "fs") {
-                return Some(format!("fs::{} filesystem call", site.name));
+                return Some(format!("fs::{m} filesystem call"));
             }
-            if site.segments.len() >= 2 {
-                let ty = &site.segments[site.segments.len() - 2];
-                let m = site.name.as_str();
-                match (ty.as_str(), m) {
-                    ("File", "open") | ("File", "create") | ("OpenOptions", "new") => {
-                        return Some(format!("{ty}::{m} filesystem call"));
-                    }
-                    ("thread", "sleep") => return Some("thread::sleep".to_string()),
-                    _ => {}
+            let [.., ty, _] = site.segments.as_slice() else {
+                return None;
+            };
+            match (ty.as_str(), m) {
+                ("File", "open") | ("File", "create") | ("OpenOptions", "new") => {
+                    Some(format!("{ty}::{m} filesystem call"))
                 }
+                ("thread", "sleep") => Some("thread::sleep".to_string()),
+                _ => None,
             }
-            None
         }
         _ => None,
     }
@@ -677,12 +686,19 @@ mod tests {
 
     #[test]
     fn blocking_patterns_match_but_not_bounded_recv() {
-        let (g, _) =
-            graph("fn f() { std::fs::read(\"x\"); rx.recv(); rx.recv_timeout(d); w.flush(); }");
+        let (g, _) = graph(
+            "fn f() { std::fs::read(\"x\"); rx.recv(); rx.recv_timeout(d); w.flush(); \
+             h.join(); let s = parts.join(\",\"); }",
+        );
         let descs: Vec<String> = g.fns[0].sites.iter().filter_map(blocking_site).collect();
         assert!(descs.iter().any(|d| d.contains("fs::read")));
         assert!(descs.iter().any(|d| d.contains(".recv()")));
         assert!(descs.iter().any(|d| d.contains(".flush()")));
+        assert_eq!(
+            descs.iter().filter(|d| d.contains("join")).count(),
+            1,
+            "a slice join with a separator argument must not be flagged"
+        );
         assert_eq!(
             descs.iter().filter(|d| d.contains("recv")).count(),
             1,

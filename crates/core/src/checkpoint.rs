@@ -484,6 +484,7 @@ impl CheckpointStore {
             jitter: 0.25,
             seed: 0xC4B7 ^ ckpt.cursor,
         };
+        // analysis:resolve(BackoffPolicy::run)
         policy.run(
             |_| {
                 let mut f = fs::File::create(&tmp)?;

@@ -265,6 +265,7 @@ impl MetricsRegistry {
     fn shard_for(&self, key: &SeriesKey) -> &Shard {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
+        // analysis:resolve(Hasher::finish)
         &self.shards[(h.finish() as usize) % N_SHARDS]
     }
 

@@ -99,24 +99,15 @@ pub fn workspace_rule_config() -> RuleConfig {
 
 /// Scans `crates/*/src` into `(repo-relative path, content)` pairs.
 pub fn workspace_sources(root: &std::path::Path) -> Result<Vec<(String, String)>, String> {
-    let mut sources = Vec::new();
-    for file in crate::rust_files(&root.join("crates")) {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        // Developer tooling and the measurement harness are not
-        // control-plane code: the analysis engine's fns are named after
-        // the patterns they match, and the bench harness replays
-        // recorded frames offline. Scanning either only adds
-        // name-collision edges into the graph.
-        if rel.starts_with("crates/analysis/") || rel.starts_with("crates/bench/") {
-            continue;
-        }
-        let content = fs::read_to_string(&file).map_err(|e| format!("cannot read {rel}: {e}"))?;
-        sources.push((rel, content));
-    }
+    let mut sources = crate::read_sources(root, &["crates"])?;
+    // Developer tooling and the measurement harness are not
+    // control-plane code: the analysis engine's fns are named after
+    // the patterns they match, and the bench harness replays recorded
+    // frames offline. Scanning either only adds name-collision edges
+    // into the graph.
+    sources.retain(|(rel, _)| {
+        !rel.starts_with("crates/analysis/") && !rel.starts_with("crates/bench/")
+    });
     Ok(sources)
 }
 

@@ -1,9 +1,11 @@
 //! Workspace automation for the TESLA repro.
 //!
-//! `cargo xtask lint [--deny] [--report <path>]` runs the custom
-//! static-analysis pass over the control crates (`crates/core`,
-//! `crates/sim`, `crates/forecast`). See `lints.rs` for the rules and
-//! DESIGN.md ("Static analysis & unit safety") for the rationale.
+//! `cargo xtask lint [--deny] [--report <path>]` runs the nine per-file
+//! lint rules, each over its own crates (see `lints::RULE_SCOPES`), on
+//! the `tesla-analysis` lexer and parser. `cargo xtask analyze` runs
+//! that engine's interprocedural call-graph rules (see `analyze.rs`).
+//! DESIGN.md ("Static analysis & unit safety") and docs/ANALYSIS.md give
+//! the rationale.
 //!
 //! Exit status: 0 when no active (non-allowlisted) findings, or when
 //! run without `--deny`; 1 with `--deny` and active findings; 2 on
@@ -113,36 +115,6 @@ fn bench_diff(args: &[String]) -> ExitCode {
     }
 }
 
-/// Crates scanned per rule (paths relative to the workspace root).
-const CONTROL_CRATES: [&str; 3] = ["crates/core/src", "crates/sim/src", "crates/forecast/src"];
-const UNWRAP_CRATES: [&str; 3] = ["crates/core/src", "crates/sim/src", "crates/fleet/src"];
-const RUNG_CRATES: [&str; 1] = ["crates/core/src"];
-/// The fleet crate's public surface addresses zones; its sources are
-/// the scope of `no-raw-zone-index-in-public-api`.
-const FLEET_CRATES: [&str; 1] = ["crates/fleet/src"];
-/// The historian owns the WAL; its sources are the scope of
-/// `no-unchecked-wal-read`.
-const WAL_CRATES: [&str; 1] = ["crates/historian/src"];
-/// The control-plane crate owns the checkpoint codec; its sources are
-/// the scope of `no-unframed-checkpoint-read`.
-const CHECKPOINT_CRATES: [&str; 1] = ["crates/core/src"];
-/// Every crate that emits metrics through tesla-obs.
-const METRIC_CRATES: [&str; 9] = [
-    "crates/core/src",
-    "crates/sim/src",
-    "crates/forecast/src",
-    "crates/bo/src",
-    "crates/bench/src",
-    "crates/obs/src",
-    "crates/historian/src",
-    "crates/net/src",
-    "crates/fleet/src",
-];
-/// Crates whose code runs on (or is called from) reactor sweep
-/// threads; the scope of `no-blocking-io-in-reactor`.
-const REACTOR_CRATES: [&str; 2] = ["crates/reactor/src", "crates/net/src"];
-const SUPERVISOR_PATH: &str = "crates/core/src/supervisor.rs";
-
 fn lint(args: &[String]) -> ExitCode {
     let mut deny = false;
     let mut report_path = PathBuf::from("target/lint-report.json");
@@ -166,98 +138,19 @@ fn lint(args: &[String]) -> ExitCode {
 
     let started = Instant::now();
     let root = workspace_root();
-    let supervisor_src = match fs::read_to_string(root.join(SUPERVISOR_PATH)) {
-        Ok(s) => s,
+    let mut dirs: Vec<&str> = lints::RULE_SCOPES
+        .iter()
+        .flat_map(|(_, dirs)| dirs.iter().copied())
+        .collect();
+    dirs.sort_unstable();
+    dirs.dedup();
+    let findings = match read_sources(&root, &dirs).and_then(lints::lint_sources) {
+        Ok(findings) => findings,
         Err(e) => {
-            eprintln!("xtask lint: cannot read {SUPERVISOR_PATH}: {e}");
+            eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let variants = lints::rung_variants(&supervisor_src);
-    if variants.is_empty() {
-        eprintln!("xtask lint: failed to extract Rung variants from {SUPERVISOR_PATH}");
-        return ExitCode::from(2);
-    }
-
-    // One job per (rule, file); the file pass fans out across threads
-    // and each worker reads, masks, and checks independently.
-    let mut jobs: Vec<(&'static str, PathBuf, String)> = Vec::new();
-    for (scope, rule) in [
-        (&CONTROL_CRATES[..], lints::RULE_RAW_F64),
-        (&UNWRAP_CRATES[..], lints::RULE_UNWRAP),
-        (&RUNG_CRATES[..], lints::RULE_RUNG),
-        (&CONTROL_CRATES[..], lints::RULE_SETPOINT),
-        (&METRIC_CRATES[..], lints::RULE_METRIC),
-        (&WAL_CRATES[..], lints::RULE_WAL),
-        (&CHECKPOINT_CRATES[..], lints::RULE_CHECKPOINT),
-        (&REACTOR_CRATES[..], lints::RULE_REACTOR),
-        (&FLEET_CRATES[..], lints::RULE_ZONE_INDEX),
-    ] {
-        for dir in scope {
-            for file in rust_files(&root.join(dir)) {
-                let rel = file
-                    .strip_prefix(&root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                jobs.push((rule, file, rel));
-            }
-        }
-    }
-    let nthreads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-    let chunk = jobs.len().div_ceil(nthreads.max(1)).max(1);
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut errors: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let variants = &variants;
-        let mut handles = Vec::new();
-        for slice in jobs.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<Finding> = Vec::new();
-                let mut errs: Vec<String> = Vec::new();
-                for (rule, file, rel) in slice {
-                    let src = match fs::read_to_string(file) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            errs.push(format!("cannot read {rel}: {e}"));
-                            continue;
-                        }
-                    };
-                    let lines: Vec<&str> = src.lines().collect();
-                    let mask = lints::test_line_mask(&lines);
-                    let batch = match *rule {
-                        lints::RULE_RAW_F64 => lints::check_raw_f64(rel, &lines, &mask),
-                        lints::RULE_UNWRAP => lints::check_unwrap(rel, &lines, &mask),
-                        lints::RULE_RUNG => lints::check_rung_matches(rel, &lines, &mask, variants),
-                        lints::RULE_METRIC => lints::check_metric_names(rel, &lines, &mask),
-                        lints::RULE_WAL => lints::check_wal_reads(rel, &lines, &mask),
-                        lints::RULE_CHECKPOINT => lints::check_checkpoint_reads(rel, &lines, &mask),
-                        lints::RULE_REACTOR => lints::check_reactor_blocking(rel, &lines, &mask),
-                        lints::RULE_ZONE_INDEX => lints::check_zone_index(rel, &lines, &mask),
-                        _ => lints::check_setpoint_literal(rel, &lines, &mask),
-                    };
-                    out.extend(batch);
-                }
-                (out, errs)
-            }));
-        }
-        for h in handles {
-            let (out, errs) = h.join().expect("lint worker thread panicked");
-            findings.extend(out);
-            errors.extend(errs);
-        }
-    });
-    if !errors.is_empty() {
-        for e in &errors {
-            eprintln!("xtask lint: {e}");
-        }
-        return ExitCode::from(2);
-    }
-    findings
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
 
     let active: Vec<&Finding> = findings.iter().filter(|f| !f.allowed).collect();
     let allowed_count = findings.len() - active.len();
@@ -269,7 +162,7 @@ fn lint(args: &[String]) -> ExitCode {
         "xtask lint: {} finding(s), {} allowlisted, rules: {}",
         active.len(),
         allowed_count,
-        lints::ALL_RULES.join(", ")
+        lints::RULE_SCOPES.map(|(rule, _)| rule).join(", ")
     );
 
     let report = render_report(&findings, started.elapsed().as_secs_f64());
@@ -398,6 +291,25 @@ fn workspace_root() -> PathBuf {
         .parent()
         .expect("xtask sits inside the workspace")
         .to_path_buf()
+}
+
+/// Reads every `.rs` file under `dirs` (relative to `root`) into
+/// `(repo-relative path, content)` pairs.
+fn read_sources(root: &Path, dirs: &[&str]) -> Result<Vec<(String, String)>, String> {
+    let mut sources = Vec::new();
+    for dir in dirs {
+        for file in rust_files(&root.join(dir)) {
+            let rel = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let content =
+                fs::read_to_string(&file).map_err(|e| format!("cannot read {rel}: {e}"))?;
+            sources.push((rel, content));
+        }
+    }
+    Ok(sources)
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for stable output.
