@@ -21,7 +21,10 @@
 //! * keeps one candidates-first point buffer for the whole decision
 //!   (grid prefix + appended observations) shared by the NEI scorer and
 //!   the final selection, which itself runs as a single batched
-//!   posterior solve over grid and evaluated points together.
+//!   posterior solve over grid and evaluated points together;
+//! * keeps one NEI scratch (`acquisition::NeiScratch`) for the whole
+//!   decision, so every iteration's QMC normals, joint posteriors and
+//!   lane-batched draws reuse the buffers of the first.
 
 // analysis:allow-file(panic-free-control-path): BO loop indices are
 // bounded by the grid/design sizes it just built; eval results are
@@ -30,7 +33,7 @@
 // per decision builds its design, grid, and observation vectors
 // fresh — bounded by n_init/n_grid/n_iter config; per-decision
 // allocation is the paper's design.
-use crate::acquisition::constrained_nei_prelifted;
+use crate::acquisition::NeiScratch;
 use crate::BoError;
 use tesla_gp::{normal_cdf, MaternHyperSearch, SobolSequence};
 
@@ -251,10 +254,11 @@ impl BayesianOptimizer {
 
         // BO loop: fit both GPs, score NEI on the grid, evaluate argmax.
         let mut gp_pair = (search_o.select()?, search_c.select()?);
+        let mut nei = NeiScratch::default();
         let mut iterations_run = 0u64;
         for it in 0..self.config.n_iter {
             iterations_run = it as u64 + 1;
-            let scores = constrained_nei_prelifted(
+            let scores = nei.score(
                 &gp_pair.0,
                 &gp_pair.1,
                 &pts,

@@ -54,11 +54,22 @@ impl Matern52 {
     }
 }
 
-impl Kernel for Matern52 {
-    fn eval_dist(&self, dist: f64) -> f64 {
+impl Matern52 {
+    /// The two distance-dependent factors of [`Kernel::eval_dist`], the
+    /// polynomial `1 + √5 r + 5r²/3` and the decay `exp(−√5 r)`:
+    /// `outputscale * poly * decay` is `eval_dist(dist)` bit for bit, so
+    /// an output-scale change can reuse them.
+    pub(crate) fn radial_parts(&self, dist: f64) -> (f64, f64) {
         let r = dist / self.lengthscale;
         let sqrt5_r = 5.0_f64.sqrt() * r;
-        self.outputscale * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
+        (1.0 + sqrt5_r + 5.0 * r * r / 3.0, (-sqrt5_r).exp())
+    }
+}
+
+impl Kernel for Matern52 {
+    fn eval_dist(&self, dist: f64) -> f64 {
+        let (poly, decay) = self.radial_parts(dist);
+        self.outputscale * poly * decay
     }
 
     fn diag(&self) -> f64 {

@@ -12,9 +12,9 @@
 //!
 //! * [`kernel`] — Matérn 5/2 and RBF kernels with lengthscale/outputscale.
 //! * [`gp::FixedNoiseGp`] — exact GP regression with per-observation
-//!   noise variances, constant mean, posterior mean/variance/covariance,
-//!   joint posterior sampling, log marginal likelihood, and a small
-//!   grid-search hyper-parameter fit.
+//!   noise variances, constant mean, posterior mean/variance, a factored
+//!   joint posterior ([`JointPosterior`]) for lane-batched sampling, log
+//!   marginal likelihood, and a small grid-search hyper-parameter fit.
 //! * [`sobol`] — a Sobol low-discrepancy sequence (direction numbers for
 //!   the first 8 dimensions) plus the inverse normal CDF, which together
 //!   give the QMC standard-normal draws NEI integrates with.
@@ -37,9 +37,12 @@ pub mod gp;
 pub mod kernel;
 pub mod sobol;
 
-pub use gp::{fit_matern_hypers, pairwise_distances, FixedNoiseGp, MaternHyperSearch, Posterior};
+pub use gp::{
+    fit_matern_hypers, pairwise_distances, FixedNoiseGp, JointPosterior, MaternHyperSearch,
+    Posterior,
+};
 pub use kernel::{euclidean_distance, Kernel, Matern52, Rbf};
-pub use sobol::{inverse_normal_cdf, normal_cdf, qmc_normal, qmc_normal_hybrid, SobolSequence};
+pub use sobol::{inverse_normal_cdf, normal_cdf, qmc_normal_hybrid_into, SobolSequence};
 
 /// Errors from GP fitting and prediction.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,9 +6,11 @@
 //! `[0,1)^d` pushed through the inverse normal CDF.
 //!
 //! Direction numbers are the first eight dimensions of the Joe–Kuo
-//! "new-joe-kuo-6" table — plenty for this workload (the optimizer's
-//! search space is one-dimensional; the QMC sample dimension is the
-//! number of joint posterior points, capped by blocking).
+//! "new-joe-kuo-6" table. The optimizer's search space is
+//! one-dimensional, so its initial design needs one; NEI's sample
+//! dimension is the number of joint posterior points (about 77), of
+//! which [`qmc_normal_hybrid_into`] draws the first eight from Sobol and
+//! the rest from a seeded pseudo-random stream.
 
 // analysis:allow-file(panic-free-control-path): direction-number
 // tables are indexed by construction (dimension and bit counts are
@@ -34,10 +36,11 @@ const JOE_KUO: [(u32, u32, &[u32]); 7] = [
 #[derive(Debug, Clone)]
 pub struct SobolSequence {
     dims: usize,
-    /// Direction numbers: `v[d][k]`, already shifted to 31-bit fixed point.
-    v: Vec<[u32; BITS]>,
+    /// Direction numbers: `v[d][k]`, already shifted to 31-bit fixed point
+    /// (rows past `dims` unused).
+    v: [[u32; BITS]; MAX_DIMS],
     /// Current integer state per dimension.
-    x: Vec<u32>,
+    x: [u32; MAX_DIMS],
     /// Index of the next point (0-based).
     index: u64,
 }
@@ -52,13 +55,11 @@ impl SobolSequence {
             (1..=MAX_DIMS).contains(&dims),
             "supported dims: 1..={MAX_DIMS}"
         );
-        let mut v = Vec::with_capacity(dims);
+        let mut v = [[0u32; BITS]; MAX_DIMS];
         // Dimension 1: van der Corput, v_k = 1 << (31 - k).
-        let mut v0 = [0u32; BITS];
-        for (k, slot) in v0.iter_mut().enumerate() {
+        for (k, slot) in v[0].iter_mut().enumerate() {
             *slot = 1 << (BITS - 1 - k);
         }
-        v.push(v0);
         for d in 1..dims {
             let (s, a, m) = JOE_KUO[d - 1];
             let s = s as usize;
@@ -76,16 +77,14 @@ impl SobolSequence {
                 }
                 mi[k] = val;
             }
-            let mut vd = [0u32; BITS];
             for k in 0..BITS {
-                vd[k] = mi[k] << (BITS - 1 - k);
+                v[d][k] = mi[k] << (BITS - 1 - k);
             }
-            v.push(vd);
         }
         SobolSequence {
             dims,
             v,
-            x: vec![0; dims],
+            x: [0; MAX_DIMS],
             index: 0,
         }
     }
@@ -97,18 +96,28 @@ impl SobolSequence {
 
     /// Produces the next point in `[0,1)^d`.
     pub fn next_point(&mut self) -> Vec<f64> {
+        let mut out = vec![0.0; self.dims];
+        self.next_into(&mut out);
+        out
+    }
+
+    /// Advances to the next point and writes it into `out` without
+    /// allocating (coordinates past `out.len()` are dropped; the sequence
+    /// still advances in every dimension).
+    fn next_into(&mut self, out: &mut [f64]) {
         // Gray-code: flip the direction number of the lowest zero bit of
         // the running index.
         let c = (!self.index).trailing_zeros() as usize;
         let c = c.min(BITS - 1);
-        let mut out = Vec::with_capacity(self.dims);
-        for d in 0..self.dims {
+        let state = self.x.iter_mut().zip(&self.v).take(self.dims);
+        for (d, (x, v)) in state.enumerate() {
             // The first emitted point is the origin; flip afterwards.
-            out.push(self.x[d] as f64 / (1u64 << BITS) as f64);
-            self.x[d] ^= self.v[d][c];
+            if let Some(o) = out.get_mut(d) {
+                *o = *x as f64 / (1u64 << BITS) as f64;
+            }
+            *x ^= v[c];
         }
         self.index += 1;
-        out
     }
 
     /// Generates `n` points as rows.
@@ -117,52 +126,66 @@ impl SobolSequence {
     }
 }
 
-/// Acklam's rational approximation to the inverse standard-normal CDF
-/// (relative error below 1.15e-9 — far beyond what QMC integration needs).
-pub fn inverse_normal_cdf(p: f64) -> f64 {
-    // Clamp away from the poles.
-    let p = p.clamp(1e-300, 1.0 - 1e-16);
+// Coefficients of Acklam's rational approximation: A/B for the central
+// region, C/D for the tails below P_LOW and above 1 − P_LOW.
+const A: [f64; 6] = [
+    -3.969683028665376e+01,
+    2.209460984245205e+02,
+    -2.759285104469687e+02,
+    1.383_577_518_672_69e2,
+    -3.066479806614716e+01,
+    2.506628277459239e+00,
+];
+const B: [f64; 5] = [
+    -5.447609879822406e+01,
+    1.615858368580409e+02,
+    -1.556989798598866e+02,
+    6.680131188771972e+01,
+    -1.328068155288572e+01,
+];
+const C: [f64; 6] = [
+    -7.784894002430293e-03,
+    -3.223964580411365e-01,
+    -2.400758277161838e+00,
+    -2.549732539343734e+00,
+    4.374664141464968e+00,
+    2.938163982698783e+00,
+];
+const D: [f64; 4] = [
+    7.784695709041462e-03,
+    3.224671290700398e-01,
+    2.445134137142996e+00,
+    3.754408661907416e+00,
+];
+const P_LOW: f64 = 0.02425;
 
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
+/// Clamps a probability away from the poles.
+#[inline]
+fn clamp_p(p: f64) -> f64 {
+    p.clamp(1e-300, 1.0 - 1e-16)
+}
 
+/// True when clamped `p` takes the central branch (false for NaN).
+#[inline]
+fn is_central(p: f64) -> bool {
+    (P_LOW..=1.0 - P_LOW).contains(&p)
+}
+
+/// The central-region formula: plain arithmetic, no branch or call.
+#[inline]
+fn central(p: f64) -> f64 {
+    let q = p - 0.5;
+    let r = q * q;
+    (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+        / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+}
+
+/// The tail formulas, for clamped `p` outside the central region.
+fn tail(p: f64) -> f64 {
     if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
     } else {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
@@ -170,20 +193,37 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
     }
 }
 
-/// Generates `n` quasi-Monte-Carlo standard-normal vectors of dimension
-/// `dims` (Sobol points through the inverse CDF). The all-zeros first
-/// Sobol point is skipped (it would map to −∞).
-pub fn qmc_normal(n: usize, dims: usize) -> Vec<Vec<f64>> {
-    let mut seq = SobolSequence::new(dims);
-    let _ = seq.next_point(); // drop the origin
-    (0..n)
-        .map(|_| {
-            seq.next_point()
-                .into_iter()
-                .map(inverse_normal_cdf)
-                .collect()
-        })
-        .collect()
+/// Acklam's rational approximation to the inverse standard-normal CDF
+/// (relative error below 1.15e-9 — far beyond what QMC integration needs).
+pub fn inverse_normal_cdf(p: f64) -> f64 {
+    let p = clamp_p(p);
+    if is_central(p) {
+        central(p)
+    } else {
+        tail(p)
+    }
+}
+
+/// [`inverse_normal_cdf`] over a slice in place, bit-identical per
+/// element. Blocks of 16 run the branch-free central formula on every
+/// element, a loop the compiler vectorizes, and then patch the few
+/// elements (about 5%) that fall in a tail.
+fn inverse_normal_cdf_in_place(vals: &mut [f64]) {
+    for block in vals.chunks_mut(16) {
+        let mut p = [0.0; 16];
+        let p = &mut p[..block.len()];
+        for (pi, v) in p.iter_mut().zip(block.iter()) {
+            *pi = clamp_p(*v);
+        }
+        for (v, &pi) in block.iter_mut().zip(p.iter()) {
+            *v = central(pi);
+        }
+        for (v, &pi) in block.iter_mut().zip(p.iter()) {
+            if !is_central(pi) {
+                *v = tail(pi);
+            }
+        }
+    }
 }
 
 /// Standard-normal CDF via the Abramowitz–Stegun erf approximation
@@ -200,16 +240,22 @@ pub fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf)
 }
 
-/// QMC-where-possible normal draws for arbitrary dimension: the first
-/// `min(dims, 8)` coordinates come from the Sobol sequence, the remainder
-/// from a seeded xorshift pseudo-random stream. The paper's BoTorch setup
-/// uses scrambled Sobol at any dimension; this hybrid keeps the QMC
+/// QMC-where-possible normal draws for arbitrary dimension, written
+/// row-major into `out`: one `dims`-long vector per row, as many rows as
+/// `out` holds. The first `min(dims, 8)` coordinates of a row come from
+/// the Sobol sequence (origin skipped), the remainder from a seeded
+/// xorshift pseudo-random stream read in row order. The paper's BoTorch
+/// setup uses scrambled Sobol at any dimension; this hybrid keeps the QMC
 /// benefit on the leading coordinates while supporting the joint
-/// posteriors NEI integrates over (observed points + candidate).
-pub fn qmc_normal_hybrid(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
+/// posteriors NEI integrates over (observed points + candidate). One flat
+/// caller-owned buffer holds every row, so a draw allocates nothing.
+pub fn qmc_normal_hybrid_into(dims: usize, seed: u64, out: &mut [f64]) {
+    if dims == 0 {
+        return;
+    }
     let qmc_dims = dims.min(MAX_DIMS);
-    let mut seq = SobolSequence::new(qmc_dims.max(1));
-    let _ = seq.next_point();
+    let mut seq = SobolSequence::new(qmc_dims);
+    seq.next_into(&mut []); // drop the origin
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     let mut uniform = move || {
         state ^= state >> 12;
@@ -218,27 +264,72 @@ pub fn qmc_normal_hybrid(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
         ((state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64)
             .clamp(1e-12, 1.0 - 1e-12)
     };
-    (0..n)
-        .map(|_| {
-            let mut row: Vec<f64> = if dims == 0 {
-                Vec::new()
-            } else {
-                seq.next_point()
-                    .into_iter()
-                    .map(inverse_normal_cdf)
-                    .collect()
-            };
-            while row.len() < dims {
-                row.push(inverse_normal_cdf(uniform()));
-            }
-            row
-        })
-        .collect()
+    for row in out.chunks_exact_mut(dims) {
+        let (head, rest) = row.split_at_mut(qmc_dims);
+        seq.next_into(head);
+        for v in rest {
+            *v = uniform();
+        }
+    }
+    inverse_normal_cdf_in_place(out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Flat draws split into rows, for the moment checks.
+    fn rows(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut flat = vec![0.0; n * dims];
+        qmc_normal_hybrid_into(dims, seed, &mut flat);
+        flat.chunks(dims.max(1)).map(<[f64]>::to_vec).collect()
+    }
+
+    /// The nested, row-by-row generator the flat one replaced, kept as
+    /// the bit-identity reference.
+    fn nested_reference(n: usize, dims: usize, seed: u64) -> Vec<Vec<f64>> {
+        let qmc_dims = dims.min(MAX_DIMS);
+        let mut seq = SobolSequence::new(qmc_dims.max(1));
+        let _ = seq.next_point();
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut uniform = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            ((state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64)
+                .clamp(1e-12, 1.0 - 1e-12)
+        };
+        (0..n)
+            .map(|_| {
+                let mut row: Vec<f64> = if dims == 0 {
+                    Vec::new()
+                } else {
+                    seq.next_point()
+                        .into_iter()
+                        .map(inverse_normal_cdf)
+                        .collect()
+                };
+                while row.len() < dims {
+                    row.push(inverse_normal_cdf(uniform()));
+                }
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flat_draws_are_bit_identical_to_nested() {
+        for dims in [0usize, 1, 7, 8, 9, 77] {
+            for (n, seed) in [(64usize, 5u64), (13, 0xDEADBEEF)] {
+                let mut flat = vec![0.0; n * dims];
+                qmc_normal_hybrid_into(dims, seed, &mut flat);
+                let nested = nested_reference(n, dims, seed);
+                let want: Vec<u64> = nested.iter().flatten().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = flat.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "dims {dims}, n {n}");
+            }
+        }
+    }
 
     #[test]
     fn normal_cdf_known_values() {
@@ -259,8 +350,33 @@ mod tests {
     }
 
     #[test]
+    fn in_place_inverse_cdf_matches_scalar_at_branch_edges() {
+        let mut vals = vec![
+            0.0,
+            1e-320,
+            0.01,
+            P_LOW,
+            P_LOW - 1e-17,
+            0.5,
+            1.0 - P_LOW,
+            0.99,
+            1.0,
+            2.0,
+            -1.0,
+            f64::NAN,
+        ];
+        let want: Vec<u64> = vals
+            .iter()
+            .map(|&p| inverse_normal_cdf(p).to_bits())
+            .collect();
+        inverse_normal_cdf_in_place(&mut vals);
+        let got: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn hybrid_draws_have_unit_moments_in_high_dims() {
-        let draws = qmc_normal_hybrid(2048, 20, 7);
+        let draws = rows(2048, 20, 7);
         for d in [0, 7, 8, 19] {
             let mean: f64 = draws.iter().map(|r| r[d]).sum::<f64>() / draws.len() as f64;
             let var: f64 =
@@ -272,9 +388,9 @@ mod tests {
 
     #[test]
     fn hybrid_is_deterministic_per_seed() {
-        let a = qmc_normal_hybrid(10, 12, 3);
-        let b = qmc_normal_hybrid(10, 12, 3);
-        let c = qmc_normal_hybrid(10, 12, 4);
+        let a = rows(10, 12, 3);
+        let b = rows(10, 12, 3);
+        let c = rows(10, 12, 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -351,7 +467,8 @@ mod tests {
 
     #[test]
     fn qmc_normal_moments() {
-        let draws = qmc_normal(1024, 2);
+        // Up to eight dimensions every coordinate is Sobol.
+        let draws = rows(1024, 2, 0);
         for d in 0..2 {
             let mean: f64 = draws.iter().map(|r| r[d]).sum::<f64>() / draws.len() as f64;
             let var: f64 =

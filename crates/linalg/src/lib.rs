@@ -19,7 +19,11 @@
 //!
 //! Everything operates on `f64`. Matrices in this workload are small
 //! (hundreds of rows, tens of columns), so the implementation favours
-//! clarity and numerical robustness (jittered Cholesky) over blocking.
+//! clarity and numerical robustness (jittered Cholesky). The hot kernels
+//! (Cholesky factorization, batched forward substitution, posterior
+//! draws) run several independent sums in lockstep instead of cache
+//! blocking, and keep each sum's operation order so results are
+//! bit-identical to the plain loops.
 //!
 //! # Example: closed-form ridge fit
 //!

@@ -150,11 +150,12 @@ proptest! {
     }
 
     /// The multi-RHS forward substitution agrees with per-vector solves
-    /// on random SPD factors and random right-hand sides.
+    /// on random SPD factors and random right-hand sides: nine of them,
+    /// two lockstep groups of four plus one solved alone.
     #[test]
     fn forward_substitute_batch_matches_per_vector_on_random_spd(
         m in matrix_strategy(5, 5),
-        rhs in proptest::collection::vec(-4.0f64..4.0, 15),
+        rhs in proptest::collection::vec(-4.0f64..4.0, 45),
     ) {
         let mt = m.transpose();
         let mut a = m.matmul(&mt).unwrap();
@@ -163,7 +164,8 @@ proptest! {
         let batch = c.forward_substitute_batch(&rhs).unwrap();
         for (k, chunk) in rhs.chunks(5).enumerate() {
             let single = c.forward_substitute(chunk);
-            prop_assert_eq!(&batch[k * 5..(k + 1) * 5], single.as_slice());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&batch[k * 5..(k + 1) * 5]), bits(&single));
         }
     }
 }

@@ -97,7 +97,6 @@ fn label_block(labels: &[(&'static str, String)], extra: &[(&str, &str)]) -> Str
             .iter()
             .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))),
     );
-    // lint:allow(no-blocking-in-deadline-path): string separator join, not a thread join
     format!("{{{}}}", parts.join(","))
 }
 
